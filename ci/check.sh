@@ -23,6 +23,12 @@ fi
 echo "==> cargo build --workspace"
 cargo build --workspace
 
+echo "==> perfbench build (the repo benchmark must still compile against the public API)"
+# perfbench/ is a package of its own that reaches the library only through
+# `pub` items (Lab::trace/stream, simulate, serve::api, Store); an API change
+# that breaks it fails here instead of in a benchmark run.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 

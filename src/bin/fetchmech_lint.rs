@@ -1372,7 +1372,8 @@ fn frontend_file(path: &str, opts: &FrontendOptions) -> Result<AnalyzeReport, St
 
     if opts.verify {
         // Full opt pipeline under translation validation, then one
-        // simulation per fetch scheme over the lowered program.
+        // simulation per fetch scheme over one shared block stream of the
+        // lowered program.
         let optimized = optimize(
             &w.program,
             &profile,
@@ -1390,12 +1391,10 @@ fn frontend_file(path: &str, opts: &FrontendOptions) -> Result<AnalyzeReport, St
             w.program.num_blocks(),
             optimized.program.num_blocks()
         );
+        let stream = Arc::new(w.block_stream(&layout, InputId::TEST, opts.common.insts));
         let mut schemes = Vec::new();
         for scheme in SchemeKind::ALL {
-            let trace: Vec<DynInst> = w
-                .executor(&layout, InputId::TEST, opts.common.insts)
-                .collect();
-            let r = simulate(machine, scheme, trace);
+            let r = simulate(machine, scheme, &stream);
             if r.retired == 0 {
                 return Err(format!("{path}: {} retired no instructions", scheme.name()));
             }

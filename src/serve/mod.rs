@@ -1,7 +1,7 @@
 //! `fetchmech-serve`: a concurrent experiment service over the simulator.
 //!
 //! The service answers HTTP/1.1 + JSON requests from a process-wide shared
-//! [`Lab`] (so repeated work hits the memoized trace/layout/profile caches)
+//! [`Lab`] (so repeated work hits the memoized stream/layout/profile caches)
 //! and a bounded job queue of unit simulations layered on
 //! [`fetchmech::runner::Runner`]. The pieces:
 //!

@@ -106,8 +106,10 @@ fn wait_for(addr: SocketAddr, what: &str, pred: impl Fn(&Value) -> bool) {
     }
 }
 
-/// What the server must answer for `key`: the same simulation run serially,
-/// rendered through the same JSON path, plus the wire newline.
+/// What the server must answer for `key`: the same simulation run serially
+/// on the per-instruction trace, rendered through the same JSON path, plus
+/// the wire newline. The server simulates block streams, so this is also
+/// the cross-path check of every response it is compared against.
 fn expected_body(lab: &Lab, key: &SimKey, machine: &MachineModel) -> String {
     let trace = lab.trace(TraceKey {
         bench: key.bench,
@@ -337,16 +339,16 @@ fn repeated_sweeps_hit_the_lab_cache_and_stay_deterministic() {
         Some(4)
     );
 
-    let hits_after_first = metric_u64(&metrics(addr), "lab_cache", "trace_hits");
+    let hits_after_first = metric_u64(&metrics(addr), "lab_cache", "stream_hits");
     let (status, second) = http(addr, "POST", "/v1/sweep", sweep);
     assert_eq!(status, 200);
     assert_eq!(first, second, "identical sweeps must be byte-identical");
 
-    // Every cell of the repeated sweep re-uses a cached trace.
-    let hits_after_second = metric_u64(&metrics(addr), "lab_cache", "trace_hits");
+    // Every cell of the repeated sweep re-uses a cached stream.
+    let hits_after_second = metric_u64(&metrics(addr), "lab_cache", "stream_hits");
     assert!(
         hits_after_second >= hits_after_first + 4,
-        "repeated sweep should hit the trace cache \
+        "repeated sweep should hit the stream cache \
          ({hits_after_first} -> {hits_after_second})"
     );
 
@@ -358,6 +360,52 @@ fn repeated_sweeps_hit_the_lab_cache_and_stay_deterministic() {
         "{\"benches\": [\"compress\"], \"insts\": 0}",
     );
     assert_eq!(status, 400, "zero insts must 400: {body}");
+    server.shutdown();
+}
+
+/// Asserts the server's lab built `streams` block streams and never
+/// generated a per-instruction trace.
+fn assert_stream_only(addr: SocketAddr, streams: u64) {
+    let m = metrics(addr);
+    assert_eq!(metric_u64(&m, "lab_cache", "stream_builds"), streams);
+    assert_eq!(
+        metric_u64(&m, "lab_cache", "trace_generations"),
+        0,
+        "the service must simulate block streams, not per-instruction traces"
+    );
+}
+
+#[test]
+fn simulate_runs_on_block_streams() {
+    let server = Server::start(test_config()).expect("server start");
+    let addr = server.addr();
+
+    let key = SimKey {
+        bench: "li",
+        machine: "p18",
+        scheme: SchemeKind::BankedSequential,
+        variant: LayoutVariant::Reordered,
+        insts: 1_300,
+    };
+    let request = format!(
+        "{{\"bench\": \"{}\", \"machine\": \"{}\", \"scheme\": \"{}\", \
+         \"layout\": \"{}\", \"insts\": {}}}",
+        key.bench,
+        key.machine,
+        key.scheme.name(),
+        key.variant.name(),
+        key.insts
+    );
+    let (status, body) = http(addr, "POST", "/v1/simulate", &request);
+    assert_eq!(status, 200, "simulate failed: {body}");
+    assert_stream_only(addr, 1);
+
+    let serial_lab = Lab::with_threads(EXP, 1);
+    assert_eq!(
+        body,
+        expected_body(&serial_lab, &key, &MachineModel::p18()),
+        "stream-path response differs from the per-instruction rendering"
+    );
     server.shutdown();
 }
 
@@ -470,6 +518,37 @@ fn uploaded_program_sweeps_end_to_end_and_survives_restart() {
             doc.get("jobs").and_then(Value::as_u64),
             Some(SchemeKind::ALL.len() as u64)
         );
+        // Every scheme shares the one (program, layout, length) stream.
+        assert_stream_only(addr, 1);
+
+        // The same program registered under the same id in a fresh lab
+        // traces identically (the workload seed derives from the id).
+        let serial_lab = Lab::with_threads(EXP, 1);
+        let lowered = fetchmech_frontend::parse(fetchmech_frontend::Format::Wat, wat)
+            .expect("kernel.wat lowers");
+        let bench = serial_lab
+            .register_external(&id, lowered.program, lowered.behaviors)
+            .expect("register in the serial lab");
+        let machine = MachineModel::p14();
+        let results = doc
+            .get("results")
+            .and_then(Value::as_array)
+            .expect("sweep has results");
+        for (cell, scheme) in results.iter().zip(SchemeKind::ALL) {
+            let key = SimKey {
+                bench,
+                machine: "p14",
+                scheme,
+                variant: LayoutVariant::Natural,
+                insts: 1_200,
+            };
+            assert_eq!(
+                format!("{}\n", cell.pretty()),
+                expected_body(&serial_lab, &key, &machine),
+                "{} cell differs from the per-instruction rendering",
+                scheme.name()
+            );
+        }
         first_sweep = sweep;
 
         wait_for(addr, "all results persisted", |m| {
