@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Hermetic CI gate: formatting, lints, tests. Runs fully offline — the
-# workspace has no registry dependencies (criterion lives in the excluded
-# crates/bench package; proptest is vendored under vendor/proptest).
+# Hermetic CI gate: formatting, lints, tests, and a full paper report
+# checked against its pinned output. Runs fully offline — the workspace has
+# no registry dependencies (proptest is vendored under vendor/proptest).
 #
 # Usage: ci/check.sh [--no-lint]   (skip clippy, e.g. when it is not installed)
 set -euo pipefail
@@ -114,6 +114,20 @@ grep -q "drained, bye" "$serve_log" || {
     exit 1
 }
 rm -f "$serve_log"
+
+echo "==> report drift: full paper report vs perfbench/expected/paper/"
+# Results are deterministic: a full run must print exactly the pinned
+# sections in paper order. Re-pin only as a deliberate, reviewed change.
+cargo build --release -q -p fetchmech-repro --bin report
+report_out="$(mktemp)"
+target/release/report >"$report_out"
+pinned=perfbench/expected/paper
+if ! cat "$pinned"/{machines,fig3,table2,fig9,fig10,fig11,fig12,table3,table4,fig13}.txt \
+        "$pinned"/{predictors,ablations}.txt | diff -u - "$report_out" >&2; then
+    echo "report output drifted from perfbench/expected/paper/ (diff above)" >&2
+    exit 1
+fi
+rm -f "$report_out"
 
 echo "==> chaos: seeded fault matrix + kill-and-recover (writes BENCH_PR7.json)"
 # The store/fault tests run the full matrix in-process; store_crash spawns

@@ -1,10 +1,10 @@
 //! Experiment drivers: one per table and figure of the paper's evaluation.
 //!
 //! Each driver returns a plain-data result type with a `Display` impl that
-//! renders the same rows/series the paper reports; the `fetchmech-bench`
-//! crate's `report` binary prints them, its criterion benches time them, and
-//! the integration tests assert their qualitative shape (who wins, how the
-//! trend moves with issue rate).
+//! renders the same rows/series the paper reports; the `report` binary
+//! prints them, CI checks that output against the pinned text under
+//! `perfbench/expected/paper/`, and the integration tests assert their
+//! qualitative shape (who wins, how the trend moves with issue rate).
 //!
 //! All drivers hang off [`Lab`], the shared experiment state. The lab is
 //! fully thread-safe (`&self` everywhere): benchmark programs, profiles,
@@ -78,7 +78,7 @@ impl ExpConfig {
         }
     }
 
-    /// Reduced runs for unit tests and criterion benches.
+    /// Reduced runs for unit tests and `report --quick`.
     #[must_use]
     pub fn quick() -> Self {
         Self {

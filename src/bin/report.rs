@@ -1,7 +1,7 @@
 //! Regenerates every table and figure of the paper's evaluation.
 //!
 //! ```text
-//! cargo run --release -p fetchmech-bench --bin report -- [--quick] [EXPERIMENT...]
+//! cargo run --release --bin report -- [--quick] [EXPERIMENT...]
 //! ```
 //!
 //! With no experiment names, everything runs in paper order. Valid names:
@@ -17,8 +17,18 @@ use fetchmech::experiments::{
 use fetchmech::pipeline::MachineModel;
 
 const ALL: [&str; 12] = [
-    "machines", "fig3", "table2", "fig9", "fig10", "fig11", "fig12", "table3", "table4", "fig13",
-    "predictors", "ablations",
+    "machines",
+    "fig3",
+    "table2",
+    "fig9",
+    "fig10",
+    "fig11",
+    "fig12",
+    "table3",
+    "table4",
+    "fig13",
+    "predictors",
+    "ablations",
 ];
 
 fn main() -> ExitCode {
@@ -41,7 +51,11 @@ fn main() -> ExitCode {
     if wanted.is_empty() {
         wanted = ALL.iter().map(|s| (*s).to_owned()).collect();
     }
-    let cfg = if quick { ExpConfig::quick() } else { ExpConfig::full() };
+    let cfg = if quick {
+        ExpConfig::quick()
+    } else {
+        ExpConfig::full()
+    };
     let lab = Lab::new(cfg);
     eprintln!(
         "# fetchmech report ({} mode: {} insts/run, {} insts/profile-input, {} worker threads)",

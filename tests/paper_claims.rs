@@ -1,6 +1,7 @@
 //! The paper's headline qualitative claims, checked end-to-end on reduced
-//! trace lengths. (The `report` binary regenerates the full tables; these
-//! tests pin the *shape* so regressions are caught by `cargo test`.)
+//! trace lengths. (The `report` binary regenerates the full tables, and CI
+//! diffs them against `perfbench/expected/paper/`; these tests pin the
+//! *shape* so regressions are caught by `cargo test`.)
 
 use fetchmech::experiments::{ExpConfig, Fig10, Fig12, Fig3, Fig9, Lab, Table2, Table3, Table4};
 use fetchmech::workloads::WorkloadClass;
