@@ -120,14 +120,22 @@ echo "==> report drift: full paper report vs perfbench/expected/paper/"
 # sections in paper order. Re-pin only as a deliberate, reviewed change.
 cargo build --release -q -p fetchmech-repro --bin report
 report_out="$(mktemp)"
-target/release/report >"$report_out"
+report_err="$(mktemp)"
+target/release/report >"$report_out" 2>"$report_err"
 pinned=perfbench/expected/paper
 if ! cat "$pinned"/{machines,fig3,table2,fig9,fig10,fig11,fig12,table3,table4,fig13}.txt \
         "$pinned"/{predictors,ablations}.txt | diff -u - "$report_out" >&2; then
     echo "report output drifted from perfbench/expected/paper/ (diff above)" >&2
     exit 1
 fi
-rm -f "$report_out"
+# Every report section simulates block streams or counts instructions as
+# the executor generates them; none may materialize a per-instruction trace.
+if ! grep '^# shared caches:' "$report_err" | grep -q ' 0 traces generated / 0 hits'; then
+    echo "report materialized per-instruction traces; its cache line:" >&2
+    grep '^# shared caches:' "$report_err" >&2 || cat "$report_err" >&2
+    exit 1
+fi
+rm -f "$report_out" "$report_err"
 
 echo "==> chaos: seeded fault matrix + kill-and-recover (writes BENCH_PR7.json)"
 # The store/fault tests run the full matrix in-process; store_crash spawns

@@ -30,7 +30,8 @@
 //! * the cycle-level [`sanitize`] engine ([`CycleSanitizer`]), which audits
 //!   a *running* simulation — packet geometry, issue/squash conservation,
 //!   predictor accounting, and cross-scheme EIR dominance — fed by the
-//!   simulator's `sanitize` feature, and
+//!   simulator's observation hooks (every debug-build simulation, and the
+//!   `fetchmech::sanitize::*_checked` entry points), and
 //! * the `fetchmech-lint` CLI (hosted in the root `fetchmech-repro` crate so
 //!   it can drive the simulator), which runs the whole registry over any
 //!   suite benchmark.

@@ -8,13 +8,15 @@
 //!
 //! All drivers hang off [`Lab`], the shared experiment state. The lab is
 //! fully thread-safe (`&self` everywhere): benchmark programs, profiles,
-//! reordered programs, layouts, and — most importantly — materialized dynamic
-//! traces live in concurrent exactly-once caches, so every expensive artifact
-//! is computed a single time per process no matter how many drivers or worker
-//! threads ask for it. Traces are shared as `Arc<[DynInst]>` slices and
-//! handed to the simulator by reference-count bump (see
-//! [`TraceCursor`](fetchmech_pipeline::TraceCursor)), never copied or
-//! regenerated per run.
+//! reordered programs, layouts, and — most importantly — run-length block
+//! streams live in concurrent exactly-once caches, so every expensive
+//! artifact is computed a single time per process no matter how many drivers
+//! or worker threads ask for it. Streams are shared as `Arc<BlockStream>`
+//! and handed to the simulator by reference-count bump, never copied or
+//! regenerated per run. The drivers that only count events in the dynamic
+//! instruction stream (Tables 2 and 3) iterate the executor directly, so no
+//! driver materializes a per-instruction trace; [`Lab::trace`] remains for
+//! callers that want the per-instruction reference simulator.
 //!
 //! Drivers expand their (workload × scheme × machine × layout) grids into job
 //! lists and execute them on the lab's [`Runner`] worker pool; results are
@@ -302,8 +304,10 @@ impl LabCacheStats {
 pub const MAX_EXTERNAL_PROGRAMS: usize = 128;
 
 /// The experiment laboratory: benchmark suite plus concurrently cached
-/// profiles, reordered programs, layouts, and materialized traces, shared
-/// across all drivers and worker threads.
+/// profiles, reordered programs, layouts, and block streams, shared across
+/// all drivers and worker threads. A per-instruction trace cache
+/// ([`Lab::trace`]) serves callers of the reference simulator; the drivers
+/// never fill it.
 #[derive(Debug)]
 pub struct Lab {
     cfg: ExpConfig,
@@ -584,7 +588,9 @@ impl Lab {
     }
 
     /// The materialized dynamic trace for `key`, generated exactly once per
-    /// process and shared zero-copy as an `Arc<[DynInst]>`.
+    /// process and shared zero-copy as an `Arc<[DynInst]>` — the input of
+    /// the per-instruction reference simulator. Production runs use
+    /// [`Lab::stream`] instead.
     pub fn trace(&self, key: TraceKey) -> Arc<[DynInst]> {
         self.traces.get_or_compute(key, || {
             let w = self.workload(key.bench, key.variant);
@@ -603,9 +609,10 @@ impl Lab {
     /// The stream is generated *natively* — segment templates are interned
     /// while walking the layout, without materializing a per-instruction
     /// trace first — so the stream cache does not populate (or depend on)
-    /// the trace cache. Streams are the preferred simulation input: the
-    /// block-stream fast path of [`simulate`] is several times faster than
-    /// the per-instruction path, with bit-identical results.
+    /// the trace cache. Every simulation the drivers, `report` and the
+    /// service run takes a stream: the block-stream path of [`simulate`] is
+    /// several times faster than the per-instruction reference, with
+    /// bit-identical results.
     pub fn stream(&self, key: TraceKey) -> Arc<BlockStream> {
         self.streams.get_or_compute(key, || {
             let w = self.workload(key.bench, key.variant);
@@ -650,8 +657,8 @@ impl Lab {
     ///
     /// The block stream comes from the shared cache (built on first use) and
     /// is lent to the simulator by refcount bump; the simulator takes the
-    /// block-stream fast path, which the differential oracle keeps
-    /// bit-identical to the per-instruction path.
+    /// block-stream path, which the debug self-check keeps bit-identical to
+    /// the per-instruction reference.
     pub fn run(
         &self,
         machine: &MachineModel,

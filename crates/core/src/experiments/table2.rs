@@ -6,7 +6,7 @@ use std::fmt;
 
 use fetchmech_isa::TraceStats;
 use fetchmech_pipeline::MachineModel;
-use fetchmech_workloads::WorkloadClass;
+use fetchmech_workloads::{InputId, WorkloadClass};
 
 use super::{Lab, LayoutVariant};
 
@@ -30,10 +30,10 @@ pub struct Table2 {
 }
 
 impl Table2 {
-    /// Runs the experiment. One trace per benchmark per block size (block
-    /// size changes the layout geometry, so each is a distinct trace-cache
-    /// key) — but the traces are the same ones the simulation drivers use,
-    /// so across a full report they are generated only once.
+    /// Runs the experiment: one pass of the executor per benchmark per block
+    /// size (block size changes the layout geometry). The instructions are
+    /// counted as they are generated, never materialized as a trace; the
+    /// layouts come from the lab's shared cache.
     pub fn run(lab: &Lab) -> Self {
         let block_sizes: Vec<u64> = MachineModel::paper_models()
             .iter()
@@ -49,10 +49,14 @@ impl Table2 {
             }
         }
         let pcts = lab.runner().run(&jobs, |&(bench, bs)| {
-            let trace = lab.test_trace(bench, LayoutVariant::Natural, bs);
+            let layout = lab.layout(bench, LayoutVariant::Natural, bs);
             let mut stats = TraceStats::new();
-            for inst in trace.iter() {
-                stats.observe(inst, bs);
+            for inst in lab.workload(bench, LayoutVariant::Natural).executor(
+                &layout,
+                InputId::TEST,
+                lab.config().trace_len,
+            ) {
+                stats.observe(&inst, bs);
             }
             stats.intra_block_pct()
         });
@@ -124,5 +128,10 @@ mod tests {
         // The branchiest integer codes reach tens of percent at 64 B.
         let eqntott = t.row("eqntott").expect("eqntott present");
         assert!(eqntott.pct[2] > 25.0, "eqntott: {:?}", eqntott.pct);
+        // The instructions are counted as they are generated; no trace is
+        // materialized or looked up.
+        let stats = lab.cache_stats();
+        assert_eq!(stats.trace_generations, 0);
+        assert_eq!(stats.trace_hits, 0);
     }
 }

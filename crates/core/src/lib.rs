@@ -16,6 +16,8 @@
 //! # Quick start
 //!
 //! ```
+//! use std::sync::Arc;
+//!
 //! use fetchmech::{simulate, SchemeKind};
 //! use fetchmech::isa::{Layout, LayoutOptions};
 //! use fetchmech::pipeline::MachineModel;
@@ -25,9 +27,9 @@
 //! let machine = MachineModel::p14();
 //! let bench = suite::benchmark("compress").expect("known benchmark");
 //! let layout = Layout::natural(&bench.program, LayoutOptions::new(machine.block_bytes))?;
-//! let trace: Vec<_> = bench.executor(&layout, InputId::TEST, 10_000).collect();
+//! let stream = Arc::new(bench.block_stream(&layout, InputId::TEST, 10_000));
 //!
-//! let result = simulate(&machine, SchemeKind::CollapsingBuffer, trace);
+//! let result = simulate(&machine, SchemeKind::CollapsingBuffer, &stream);
 //! assert!(result.ipc() > 0.5);
 //! # Ok(())
 //! # }
@@ -54,14 +56,8 @@ pub use cost::{all_structures, StructureCost};
 pub use fetchmech_pipeline::scheme::{ParseSchemeError, SchemeKind};
 pub use runner::{JobQueue, QueueJob, Runner, SubmitError};
 pub use sanitize::{check_dominance, measure_eir_checked, simulate_checked, verify_static_bound};
-pub use sim::{
-    build_block_fetch_unit, build_fetch_unit, measure_eir, simulate, EirResult, SimResult,
-    SimSource,
-};
-pub use unit::{
-    AlignedFetchUnit, BlockFetchUnit, BlockPacket, BreakdownStats, FetchConfig, FetchOutcome,
-    FetchStats,
-};
+pub use sim::{build_fetch_unit, measure_eir, simulate, EirResult, SimResult, SimSource};
+pub use unit::{BlockPacket, BreakdownStats, FetchConfig, FetchOutcome, FetchStats, FetchUnit};
 
 // Re-export the substrate crates under stable names so downstream users (and
 // the examples/benches) need only one dependency.

@@ -8,12 +8,12 @@
 //! * [`ENABLED`] — the gate. Debug builds sanitize every [`simulate`] and
 //!   [`measure_eir`](crate::sim::measure_eir) call and panic on findings
 //!   (the checks become hard assertions, like `debug_assert!`). Release
-//!   builds compile the observation calls out entirely unless the
-//!   `sanitize` cargo feature is on.
+//!   builds compile the observation calls out entirely.
 //! * [`simulate_checked`] / [`measure_eir_checked`] — always-available
 //!   variants that run the sanitizer regardless of the gate and *return*
 //!   the findings instead of panicking (the `fetchmech-lint sanitize`
-//!   subcommand and the clean-suite tests).
+//!   subcommand and the clean-suite tests). They are how to sanitize at
+//!   release speed.
 //! * [`check_dominance`] — the differential harness: measures EIR for every
 //!   scheme over one shared zero-copy trace and checks the paper's
 //!   cross-scheme ordering (perfect ≥ collapsing ≥ banked/interleaved ≥
@@ -34,12 +34,12 @@ use crate::scheme::SchemeKind;
 use crate::sim::{EirResult, SimResult};
 
 /// `true` when plain [`simulate`](crate::sim::simulate) and
-/// [`measure_eir`](crate::sim::measure_eir) self-check every run: debug
-/// builds always, release builds only with the `sanitize` cargo feature.
+/// [`measure_eir`](crate::sim::measure_eir) self-check every run: in debug
+/// builds.
 ///
-/// The constant lets LLVM erase every sanitizer branch from an unsanitized
-/// release simulator — the observation calls sit behind `if ENABLED`.
-pub const ENABLED: bool = cfg!(any(feature = "sanitize", debug_assertions));
+/// The constant lets LLVM erase every sanitizer branch from the release
+/// simulator — the observation calls sit behind `if ENABLED`.
+pub const ENABLED: bool = cfg!(debug_assertions);
 
 /// Builds the sanitizer's machine-parameter mirror for one run.
 pub(crate) fn fetch_env(machine: &MachineModel, scheme: SchemeKind, track_issue: bool) -> FetchEnv {

@@ -1,49 +1,49 @@
 //! The full-system simulator: fetch mechanism + out-of-order core.
 //!
 //! [`simulate`] wires a fetch unit to an out-of-order core and runs a
-//! dynamic trace to completion, producing the paper's two metrics: **IPC**
-//! (useful instructions retired per cycle) and **EIR** (instructions
-//! supplied to the decoders per cycle). Padding nops are excluded from the
-//! IPC numerator — they retire, but they are not work.
+//! dynamic instruction stream to completion, producing the paper's two
+//! metrics: **IPC** (useful instructions retired per cycle) and **EIR**
+//! (instructions supplied to the decoders per cycle). Padding nops are
+//! excluded from the IPC numerator — they retire, but they are not work.
 //!
 //! Both [`simulate`] and [`measure_eir`] accept either input representation
 //! through [`SimSource`]:
 //!
-//! * a **per-instruction trace** (`Vec<DynInst>`, `Arc<[DynInst]>`,
-//!   [`TraceCursor`]) runs the reference path: [`AlignedFetchUnit`] +
-//!   [`OooCore`], one trace element per instruction;
-//! * a **block stream** (`Arc<BlockStream>`, [`BlockCursor`]) runs the fast
-//!   path: [`BlockFetchUnit`] + [`StreamCore`], which walks run-length
+//! * a **block stream** (`Arc<BlockStream>`) runs the production path: a
+//!   `FetchUnit<BlockCursor>` + [`StreamCore`], which walks run-length
 //!   fetch-block segments, dispatches without materializing packets, and
-//!   skips provably-idle stretches of cycles in O(1).
+//!   skips provably-idle stretches of cycles in O(1);
+//! * a **per-instruction trace** (`Vec<DynInst>`, `Arc<[DynInst]>`) runs the
+//!   reference path: a `FetchUnit<TraceCursor>` + [`OooCore`], one trace
+//!   element per instruction. Nothing in production materializes a trace;
+//!   the reference exists so tests and the self-check have something
+//!   independent to compare against.
 //!
 //! The two paths produce bit-identical [`SimResult`]s. That is not an
-//! aspiration but an enforced invariant: whenever the cycle sanitizer is
-//! enabled (debug builds and `--features sanitize`), every block-stream
-//! simulation re-runs through the sanitized per-instruction oracle and
-//! asserts whole-result equality.
+//! aspiration but an enforced invariant: in debug builds every simulation
+//! runs the sanitized reference, and every block-stream simulation asserts
+//! whole-result equality with it.
 
 use std::collections::VecDeque;
+use std::fmt::Debug;
 use std::sync::Arc;
 
-use fetchmech_analysis::CycleSanitizer;
+use fetchmech_analysis::{CycleSanitizer, FetchEnv};
 use fetchmech_bpred::{Btb, BtbStats};
 use fetchmech_cache::{CacheStats, ICache};
 use fetchmech_isa::{BlockStream, DynInst, OpClass};
 use fetchmech_pipeline::{
-    BlockCursor, FetchUnit, FetchedInst, MachineModel, OooCore, StreamCore, TraceCursor,
+    BlockCursor, FetchedInst, MachineModel, OooCore, StreamCore, TraceCursor,
 };
 
 use crate::scheme::SchemeKind;
-use crate::unit::{
-    AlignedFetchUnit, BlockFetchUnit, BlockPacket, FetchConfig, FetchOutcome, FetchStats,
-};
+use crate::unit::{BlockPacket, FetchConfig, FetchOutcome, FetchStats, FetchUnit};
 
 /// Result of one simulation run.
 ///
 /// `PartialEq` compares every field, which is how the parallel-runner tests
 /// assert bit-identical serial/parallel execution and how the differential
-/// oracle asserts block-stream/per-instruction equivalence.
+/// self-check asserts block-stream/per-instruction equivalence.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimResult {
     /// Scheme simulated.
@@ -89,13 +89,12 @@ impl SimResult {
 }
 
 /// The instruction source for [`simulate`] and [`measure_eir`]: either a
-/// per-instruction trace (the reference oracle path) or a run-length block
-/// stream (the fast path).
+/// run-length block stream (the production path) or a per-instruction trace
+/// (the reference path).
 ///
-/// Everything that converted into a [`TraceCursor`] before still converts
-/// into a `SimSource`, so existing per-instruction callers are unchanged;
-/// handing an `Arc<BlockStream>` (e.g. from the
-/// [`Lab`](crate::experiments::Lab) stream cache) selects the fast path.
+/// Handing an `&Arc<BlockStream>` (e.g. from the
+/// [`Lab`](crate::experiments::Lab) stream cache) or an `&Arc<[DynInst]>`
+/// is a refcount bump, never a copy.
 #[derive(Debug, Clone)]
 pub enum SimSource {
     /// A per-instruction dynamic trace.
@@ -104,21 +103,9 @@ pub enum SimSource {
     Blocks(BlockCursor),
 }
 
-impl From<TraceCursor> for SimSource {
-    fn from(c: TraceCursor) -> Self {
-        SimSource::Insts(c)
-    }
-}
-
 impl From<Vec<DynInst>> for SimSource {
     fn from(v: Vec<DynInst>) -> Self {
         SimSource::Insts(TraceCursor::new(v))
-    }
-}
-
-impl From<Arc<[DynInst]>> for SimSource {
-    fn from(t: Arc<[DynInst]>) -> Self {
-        SimSource::Insts(TraceCursor::new(t))
     }
 }
 
@@ -128,33 +115,9 @@ impl From<&Arc<[DynInst]>> for SimSource {
     }
 }
 
-impl From<&[DynInst]> for SimSource {
-    fn from(t: &[DynInst]) -> Self {
-        SimSource::Insts(TraceCursor::new(t))
-    }
-}
-
-impl From<BlockCursor> for SimSource {
-    fn from(c: BlockCursor) -> Self {
-        SimSource::Blocks(c)
-    }
-}
-
-impl From<Arc<BlockStream>> for SimSource {
-    fn from(s: Arc<BlockStream>) -> Self {
-        SimSource::Blocks(BlockCursor::new(s))
-    }
-}
-
 impl From<&Arc<BlockStream>> for SimSource {
     fn from(s: &Arc<BlockStream>) -> Self {
         SimSource::Blocks(BlockCursor::new(Arc::clone(s)))
-    }
-}
-
-impl From<BlockStream> for SimSource {
-    fn from(s: BlockStream) -> Self {
-        SimSource::Blocks(BlockCursor::new(Arc::new(s)))
     }
 }
 
@@ -171,80 +134,96 @@ fn fetch_config(machine: &MachineModel, scheme: SchemeKind) -> FetchConfig {
     }
 }
 
-/// Builds the per-instruction fetch unit for `machine` running `scheme`
-/// over `trace`.
-///
-/// The trace is *borrowed, not moved*: any `Into<TraceCursor>` works — an
-/// owned `Vec<DynInst>`, a `&Arc<[DynInst]>` straight out of the
-/// [`Lab`](crate::experiments::Lab) trace cache (a refcount bump, no copy),
-/// or an existing cursor.
+/// Builds the fetch unit for `machine` running `scheme` over `cursor` — a
+/// [`BlockCursor`] for the production walk or a [`TraceCursor`] for the
+/// per-instruction reference, with identical cache and BTB construction.
 #[must_use]
-pub fn build_fetch_unit(
-    machine: &MachineModel,
-    scheme: SchemeKind,
-    trace: impl Into<TraceCursor>,
-) -> AlignedFetchUnit {
+pub fn build_fetch_unit<C>(machine: &MachineModel, scheme: SchemeKind, cursor: C) -> FetchUnit<C> {
     let cfg = fetch_config(machine, scheme);
     let icache = ICache::new(machine.cache_config(scheme.banks().max(2)));
     let btb = Btb::new(machine.btb_config());
-    AlignedFetchUnit::new(cfg, icache, btb, trace.into())
-}
-
-/// Builds the block-stream fetch unit for `machine` running `scheme` over a
-/// run-length block stream — the fast-path counterpart of
-/// [`build_fetch_unit`], with identical cache/BTB construction.
-#[must_use]
-pub fn build_block_fetch_unit(
-    machine: &MachineModel,
-    scheme: SchemeKind,
-    stream: impl Into<BlockCursor>,
-) -> BlockFetchUnit {
-    let cfg = fetch_config(machine, scheme);
-    let icache = ICache::new(machine.cache_config(scheme.banks().max(2)));
-    let btb = Btb::new(machine.btb_config());
-    BlockFetchUnit::new(cfg, icache, btb, stream.into())
+    FetchUnit::new(cfg, icache, btb, cursor)
 }
 
 /// Runs `source` through `machine` with the given fetch `scheme` until every
 /// instruction retires. Returns the aggregate [`SimResult`].
 ///
-/// Per-instruction sources take the reference path; block streams take the
-/// fast path (identical results, enforced by the differential oracle when
-/// the sanitizer is enabled).
+/// Block streams take the production path, per-instruction traces the
+/// reference path; both give identical results, which debug builds check on
+/// every call.
 ///
 /// # Panics
 ///
 /// Panics if the simulation exceeds a safety bound of 64 cycles per trace
 /// instruction plus slack (which would indicate a deadlock bug, not a slow
-/// workload).
+/// workload), and in debug builds if the self-check fails.
 #[must_use]
 pub fn simulate(
     machine: &MachineModel,
     scheme: SchemeKind,
     source: impl Into<SimSource>,
 ) -> SimResult {
-    match source.into() {
-        SimSource::Insts(cursor) => {
-            if crate::sanitize::ENABLED {
-                let (result, diags) = crate::sanitize::simulate_checked(machine, scheme, cursor);
-                crate::sanitize::assert_clean(
-                    &format!("simulate({scheme}, {})", machine.name),
-                    &diags,
-                );
-                return result;
-            }
-            simulate_observed(machine, scheme, cursor, None)
+    self_checked(
+        "simulate",
+        machine,
+        crate::sanitize::fetch_env(machine, scheme, true),
+        source.into(),
+        |cursor| simulate_blocks_fast(machine, scheme, cursor),
+        |trace, san| simulate_observed(machine, scheme, trace, san),
+    )
+}
+
+/// The simulator's self-check, shared by [`simulate`] and [`measure_eir`].
+///
+/// Runs `source` on its own path: `fast` for a block stream, `reference`
+/// for a per-instruction trace. When [`crate::sanitize::ENABLED`] (debug
+/// builds), the reference additionally runs over the same instructions with
+/// a [`CycleSanitizer`] attached and must report no errors, and a
+/// block-stream result must equal it field for field. Release builds
+/// compile the check out.
+fn self_checked<R: PartialEq + Debug>(
+    entry: &str,
+    machine: &MachineModel,
+    env: FetchEnv,
+    source: SimSource,
+    fast: impl FnOnce(BlockCursor) -> R,
+    reference: impl FnOnce(TraceCursor, Option<&mut CycleSanitizer>) -> R,
+) -> R {
+    if !crate::sanitize::ENABLED {
+        return match source {
+            SimSource::Insts(trace) => reference(trace, None),
+            SimSource::Blocks(cursor) => fast(cursor),
+        };
+    }
+    let what = format!("{entry}({}, {})", env.scheme, machine.name);
+    let (trace, fast_result) = match source {
+        SimSource::Insts(trace) => (trace, None),
+        SimSource::Blocks(cursor) => (
+            TraceCursor::new(cursor.stream().materialize()),
+            Some(fast(cursor)),
+        ),
+    };
+    let mut san = CycleSanitizer::new(env);
+    let checked = reference(trace, Some(&mut san));
+    crate::sanitize::assert_clean(&what, &san.into_diagnostics());
+    match fast_result {
+        Some(fast) => {
+            assert_eq!(
+                fast, checked,
+                "block-stream path diverged from the per-instruction reference in {what}"
+            );
+            fast
         }
-        SimSource::Blocks(cursor) => simulate_blocks(machine, scheme, cursor),
+        None => checked,
     }
 }
 
 /// [`simulate`] with an optional sanitizer observing every pipeline event.
 ///
-/// The `san` parameter is how the sanitizer stays zero-cost when off: the
-/// observation sites are `if let Some(..)` on this option, and the two
-/// public entry points pass a compile-time-known `None` unless
-/// [`crate::sanitize::ENABLED`] holds.
+/// This is the per-instruction reference loop. The `san` parameter is how
+/// the sanitizer stays zero-cost when off: the observation sites are
+/// `if let Some(..)` on this option, and [`self_checked`] passes a
+/// compile-time-known `None` unless [`crate::sanitize::ENABLED`] holds.
 pub(crate) fn simulate_observed(
     machine: &MachineModel,
     scheme: SchemeKind,
@@ -368,39 +347,16 @@ pub(crate) fn simulate_observed(
     }
 }
 
-/// Block-stream [`simulate`]: runs the fast path, and — when the sanitizer
-/// is enabled and the cursor starts at the beginning of the stream —
-/// re-runs the materialized trace through the sanitized per-instruction
-/// oracle and asserts the two [`SimResult`]s are identical.
-fn simulate_blocks(machine: &MachineModel, scheme: SchemeKind, cursor: BlockCursor) -> SimResult {
-    let oracle_input = (crate::sanitize::ENABLED && cursor.pos() == 0).then(|| cursor.shared());
-    let fast = simulate_blocks_fast(machine, scheme, cursor);
-    if let Some(stream) = oracle_input {
-        let (oracle, diags) =
-            crate::sanitize::simulate_checked(machine, scheme, stream.materialize());
-        crate::sanitize::assert_clean(
-            &format!("simulate_blocks({scheme}, {})", machine.name),
-            &diags,
-        );
-        assert_eq!(
-            fast, oracle,
-            "block-stream fast path diverged from the per-instruction oracle \
-             ({scheme}, {})",
-            machine.name
-        );
-    }
-    fast
-}
-
-/// The block-stream simulation loop. Mirrors [`simulate_observed`] phase by
-/// phase — complete/retire, fire, dispatch, fetch — with two differences
-/// that cannot change the result:
+/// The block-stream simulation loop, the production path. Mirrors
+/// [`simulate_observed`] phase by phase — complete/retire, fire, dispatch,
+/// fetch — with two differences that cannot change the result:
 ///
 /// * packets stay in run-length form ([`BlockPacket`]) and dispatch reads
 ///   instructions straight out of the shared stream's templates;
 /// * stretches of cycles in which *nothing can happen* are skipped in O(1),
-///   with the per-cycle statistics the oracle would have recorded on those
-///   cycles (window-full counts, redirect stalls) patched in exactly.
+///   with the per-cycle statistics the reference loop would have recorded
+///   on those cycles (window-full counts, redirect stalls) patched in
+///   exactly.
 ///
 /// A cycle is skippable only when the core neither starved a ready
 /// instruction this cycle nor holds a retirable ROB head (either would make
@@ -414,7 +370,7 @@ fn simulate_blocks_fast(
     cursor: BlockCursor,
 ) -> SimResult {
     let stream = cursor.shared();
-    let mut fetch = build_block_fetch_unit(machine, scheme, cursor);
+    let mut fetch = build_fetch_unit(machine, scheme, cursor);
     let mut core = StreamCore::new(machine.ooo_config());
     let issue_rate = machine.issue_rate;
 
@@ -449,8 +405,8 @@ fn simulate_blocks_fast(
         let starved = core.fire(cycle);
 
         // 3. Dispatch from the current packet. Nops are dropped here, as in
-        // the oracle: they consume dispatch bandwidth but never occupy a
-        // window or ROB slot.
+        // the reference loop: they consume dispatch bandwidth but never
+        // occupy a window or ROB slot.
         let mut dispatched = 0u32;
         let had_backlog = pkt_left > 0;
         if pkt_left > 0 {
@@ -530,7 +486,7 @@ fn simulate_blocks_fast(
             // fetched packet has not been offered to dispatch yet). Until
             // the next completion, every cycle repeats verbatim: nothing
             // completes or retires, nothing fires, dispatch stays blocked,
-            // fetch is not consulted, and the oracle records one
+            // fetch is not consulted, and the reference loop records one
             // window-full cycle each time.
             if had_backlog && dispatched == 0 {
                 if let Some(t) = core.next_completion() {
@@ -544,7 +500,7 @@ fn simulate_blocks_fast(
             match idle {
                 FetchOutcome::AwaitResolve => {
                     // Waiting on the watched branch. Until the next
-                    // completion nothing can resolve, and the oracle
+                    // completion nothing can resolve, and the reference loop
                     // records one redirect-stall cycle each time.
                     if let Some(t) = core.next_completion() {
                         if t > cycle {
@@ -629,31 +585,27 @@ impl EirResult {
 /// fetch unit's own ability to align instructions, which is exactly what
 /// `EIR / EIR(perfect)` is meant to isolate.
 ///
-/// Accepts either input representation, like [`simulate`].
+/// Accepts either input representation, like [`simulate`], and runs the
+/// same self-check in debug builds.
 #[must_use]
 pub fn measure_eir(
     machine: &MachineModel,
     scheme: SchemeKind,
     source: impl Into<SimSource>,
 ) -> EirResult {
-    match source.into() {
-        SimSource::Insts(cursor) => {
-            if crate::sanitize::ENABLED {
-                let (result, diags) = crate::sanitize::measure_eir_checked(machine, scheme, cursor);
-                crate::sanitize::assert_clean(
-                    &format!("measure_eir({scheme}, {})", machine.name),
-                    &diags,
-                );
-                return result;
-            }
-            measure_eir_observed(machine, scheme, cursor, None)
-        }
-        SimSource::Blocks(cursor) => measure_eir_blocks(machine, scheme, cursor),
-    }
+    self_checked(
+        "measure_eir",
+        machine,
+        crate::sanitize::fetch_env(machine, scheme, false),
+        source.into(),
+        |cursor| measure_eir_blocks_fast(machine, scheme, cursor),
+        |trace, san| measure_eir_observed(machine, scheme, trace, san),
+    )
 }
 
-/// [`measure_eir`] with an optional sanitizer observing every fetch cycle
-/// (see [`simulate_observed`] for the gating pattern).
+/// The per-instruction reference EIR loop, with an optional sanitizer
+/// observing every fetch cycle (see [`simulate_observed`] for the gating
+/// pattern).
 pub(crate) fn measure_eir_observed(
     machine: &MachineModel,
     scheme: SchemeKind,
@@ -693,43 +645,16 @@ pub(crate) fn measure_eir_observed(
     }
 }
 
-/// Block-stream [`measure_eir`]: the fast loop, plus the same
-/// differential-oracle check as [`simulate`]'s block path when the
-/// sanitizer is enabled.
-fn measure_eir_blocks(
-    machine: &MachineModel,
-    scheme: SchemeKind,
-    cursor: BlockCursor,
-) -> EirResult {
-    let oracle_input = (crate::sanitize::ENABLED && cursor.pos() == 0).then(|| cursor.shared());
-    let fast = measure_eir_blocks_fast(machine, scheme, cursor);
-    if let Some(stream) = oracle_input {
-        let (oracle, diags) =
-            crate::sanitize::measure_eir_checked(machine, scheme, stream.materialize());
-        crate::sanitize::assert_clean(
-            &format!("measure_eir_blocks({scheme}, {})", machine.name),
-            &diags,
-        );
-        assert_eq!(
-            fast, oracle,
-            "block-stream EIR fast path diverged from the per-instruction \
-             oracle ({scheme}, {})",
-            machine.name
-        );
-    }
-    fast
-}
-
 /// The block-stream EIR loop. With the idealized back end, a mispredict
 /// resolves immediately and the only idle periods are [`FetchOutcome::
 /// Stalled`] stretches (miss/redirect penalties), which record no per-cycle
-/// statistics in the oracle and are therefore skipped wholesale.
+/// statistics in the reference loop and are therefore skipped wholesale.
 fn measure_eir_blocks_fast(
     machine: &MachineModel,
     scheme: SchemeKind,
     cursor: BlockCursor,
 ) -> EirResult {
-    let mut fetch = build_block_fetch_unit(machine, scheme, cursor);
+    let mut fetch = build_fetch_unit(machine, scheme, cursor);
     let mut pkt = BlockPacket::default();
     let mut cycle: u64 = 0;
     loop {
@@ -743,7 +668,7 @@ fn measure_eir_blocks_fast(
         }
         if let FetchOutcome::Stalled { until } = outcome {
             // Every cycle before `until` is a statless empty fetch in the
-            // oracle; jump straight to the resume point.
+            // reference loop; jump straight to the resume point.
             if until > cycle {
                 cycle = until;
             }
@@ -817,10 +742,11 @@ mod tests {
         );
     }
 
-    /// The block-stream fast path must produce the same `SimResult` and
-    /// `EirResult` as the per-instruction path, field for field. (In debug
-    /// builds the block path additionally self-checks against the sanitized
-    /// oracle inside `simulate`, so this test exercises that machinery too.)
+    /// The block-stream path must produce the same `SimResult` and
+    /// `EirResult` as the per-instruction reference, field for field. (In
+    /// debug builds the block path additionally self-checks against the
+    /// sanitized reference inside `simulate`, so this test exercises that
+    /// machinery too.)
     #[test]
     fn block_stream_paths_match_per_instruction_paths() {
         for machine in [MachineModel::p14(), MachineModel::p112()] {
@@ -828,10 +754,10 @@ mod tests {
             let stream = Arc::new(BlockStream::from_insts(&trace));
             for scheme in SchemeKind::ALL {
                 let a = simulate(&machine, scheme, trace.clone());
-                let b = simulate(&machine, scheme, Arc::clone(&stream));
+                let b = simulate(&machine, scheme, &stream);
                 assert_eq!(a, b, "simulate mismatch: {scheme}, {}", machine.name);
                 let ea = measure_eir(&machine, scheme, trace.clone());
-                let eb = measure_eir(&machine, scheme, Arc::clone(&stream));
+                let eb = measure_eir(&machine, scheme, &stream);
                 assert_eq!(ea, eb, "eir mismatch: {scheme}, {}", machine.name);
             }
         }

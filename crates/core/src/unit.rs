@@ -1,20 +1,23 @@
 //! The trace-driven fetch unit implementing all five alignment schemes.
 //!
-//! Two drivers share one mechanism model:
+//! One type, [`FetchUnit`], models every mechanism. It pairs the shared
+//! `FrontEnd` (I-cache, BTB, direction predictor, RAS and statistics) with a
+//! cursor over the instructions to deliver, and walks that cursor in one of
+//! two ways:
 //!
-//! * [`AlignedFetchUnit`] — the per-instruction oracle, walking a
-//!   [`TraceCursor`] one instruction at a time. This is the reference
-//!   implementation every optimization is checked against.
-//! * [`BlockFetchUnit`] — the block-stream fast path, walking a
-//!   [`BlockCursor`] over run-length fetch-block segments and admitting
-//!   straight-line spans a cache block at a time. It emits packets in
-//!   run-length form ([`BlockPacket`]) and reports *why* idle cycles were
-//!   idle ([`FetchOutcome`]), which is what lets the simulator loop skip
-//!   provably-quiet stretches of cycles.
+//! * `FetchUnit<BlockCursor>` — the production walk
+//!   ([`cycle_into`](FetchUnit::cycle_into)) over run-length fetch-block
+//!   segments, admitting straight-line spans a cache block at a time. It
+//!   emits packets in run-length form ([`BlockPacket`]) and reports *why*
+//!   idle cycles were idle ([`FetchOutcome`]), which is what lets the
+//!   simulator loop skip provably-quiet stretches of cycles.
+//! * `FetchUnit<TraceCursor>` — the reference walk
+//!   ([`cycle`](FetchUnit::cycle)), one instruction at a time, which the
+//!   debug self-check and the tests compare the production walk against.
 //!
-//! Both drivers delegate every prediction, admission, and continuation
-//! decision to the shared `FrontEnd`, so each mechanism's geometric
-//! constraints are enforced identically:
+//! Both walks delegate every prediction, admission, and continuation
+//! decision to the `FrontEnd`, so each mechanism's geometric constraints are
+//! enforced identically:
 //!
 //! * which cache blocks are readable this cycle (one block, the next
 //!   sequential block, or the BTB-predicted successor block subject to bank
@@ -32,7 +35,7 @@
 use fetchmech_bpred::{Btb, Gshare, PredictorKind, Tournament};
 use fetchmech_cache::ICache;
 use fetchmech_isa::{Addr, DynInst, OpClass};
-use fetchmech_pipeline::{BlockCursor, FetchPacket, FetchUnit, FetchedInst, TraceCursor};
+use fetchmech_pipeline::{BlockCursor, FetchPacket, FetchedInst, TraceCursor};
 
 use crate::scheme::SchemeKind;
 
@@ -170,11 +173,10 @@ struct Region {
     crossed: bool,
 }
 
-/// Predictor, cache, and statistics state shared by the per-instruction
-/// oracle and the block-stream fast path. Every prediction, block-admission,
-/// and taken-branch-continuation decision lives here, so the two fetch
-/// drivers cannot drift apart — the differential-oracle tests assert their
-/// entire statistics blocks stay bit-identical.
+/// Predictor, cache, and statistics state shared by both walks. Every
+/// prediction, block-admission, and taken-branch-continuation decision lives
+/// here, so the two walks cannot drift apart — the self-check and the tests
+/// assert their entire statistics blocks stay bit-identical.
 #[derive(Debug)]
 struct FrontEnd {
     cfg: FetchConfig,
@@ -538,21 +540,30 @@ impl FrontEnd {
     }
 }
 
-/// The per-instruction fetch unit — the reference oracle. Construct with
-/// [`AlignedFetchUnit::new`] and drive through the [`FetchUnit`] trait.
+/// A fetch unit: the shared `FrontEnd` plus a cursor over the instructions
+/// still to deliver. `C` is [`BlockCursor`] for production runs and
+/// [`TraceCursor`] for the per-instruction reference.
+///
+/// The simulator drives it once per cycle in which its decode queue has
+/// room. A packet that ends in a mispredicted control transfer stalls the
+/// unit until [`on_mispredict_resolved`](Self::on_mispredict_resolved)
+/// reports the cycle the transfer executed; delivery resumes no earlier than
+/// `resolution + fetch_penalty`. No instruction is fetched past a
+/// conditional branch once the in-flight unresolved count has reached the
+/// machine's speculation depth.
 #[derive(Debug)]
-pub struct AlignedFetchUnit {
+pub struct FetchUnit<C> {
     fe: FrontEnd,
-    cursor: TraceCursor,
+    cursor: C,
 }
 
-impl AlignedFetchUnit {
-    /// Creates a fetch unit over `trace` with fresh cache and BTB state.
+impl<C> FetchUnit<C> {
+    /// Creates a fetch unit over `cursor` with the given cache and BTB.
     #[must_use]
-    pub fn new(cfg: FetchConfig, icache: ICache, btb: Btb, trace: TraceCursor) -> Self {
+    pub fn new(cfg: FetchConfig, icache: ICache, btb: Btb, cursor: C) -> Self {
         Self {
             fe: FrontEnd::new(cfg, icache, btb),
-            cursor: trace,
+            cursor,
         }
     }
 
@@ -574,16 +585,37 @@ impl AlignedFetchUnit {
         &self.fe.btb
     }
 
+    /// Instructions delivered so far, including nops (the numerator of EIR).
+    #[must_use]
+    pub fn delivered(&self) -> u64 {
+        self.fe.delivered
+    }
+
     /// Instructions delivered excluding nops (the useful-work numerator for
     /// IPC under the padding optimizations).
     #[must_use]
     pub fn delivered_useful(&self) -> u64 {
         self.fe.delivered_useful
     }
+
+    /// Reports that the mispredicted control transfer ending an earlier
+    /// packet executed at `cycle`; delivery resumes after the fetch-pipeline
+    /// penalty.
+    pub fn on_mispredict_resolved(&mut self, cycle: u64) {
+        self.fe.on_mispredict_resolved(cycle);
+    }
 }
 
-impl FetchUnit for AlignedFetchUnit {
-    fn cycle(&mut self, cycle: u64, unresolved_branches: u32) -> FetchPacket {
+impl FetchUnit<TraceCursor> {
+    /// `true` once every instruction of the trace has been delivered.
+    #[must_use]
+    pub fn done(&self) -> bool {
+        self.cursor.is_done()
+    }
+
+    /// The reference walk: runs one fetch cycle, one instruction at a time,
+    /// and returns the delivered packet (possibly empty).
+    pub fn cycle(&mut self, cycle: u64, unresolved_branches: u32) -> FetchPacket {
         if self.fe.waiting_resolve {
             self.fe.stats.redirect_stall_cycles += 1;
             return FetchPacket::empty();
@@ -684,22 +716,6 @@ impl FetchUnit for AlignedFetchUnit {
         }
         packet
     }
-
-    fn on_mispredict_resolved(&mut self, cycle: u64) {
-        self.fe.on_mispredict_resolved(cycle);
-    }
-
-    fn done(&mut self) -> bool {
-        self.cursor.is_done()
-    }
-
-    fn delivered(&self) -> u64 {
-        self.fe.delivered
-    }
-
-    fn name(&self) -> &'static str {
-        self.fe.cfg.scheme.name()
-    }
 }
 
 /// A fetch packet in run-length form: spans of consecutive instructions
@@ -747,10 +763,11 @@ impl BlockPacket {
     }
 }
 
-/// What a [`BlockFetchUnit`] cycle produced — and, when it produced nothing,
-/// *why*, so the simulator loop can decide whether the idle stretch is
-/// skippable (stalls with a known end) or must be simulated cycle by cycle
-/// (speculation-depth blocking performs real cache accesses every cycle).
+/// What a [`FetchUnit::cycle_into`] call produced — and, when it produced
+/// nothing, *why*, so the simulator loop can decide whether the idle stretch
+/// is skippable (stalls with a known end) or must be simulated cycle by
+/// cycle (speculation-depth blocking performs real cache accesses every
+/// cycle).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FetchOutcome {
     /// A non-empty packet was delivered.
@@ -770,83 +787,26 @@ pub enum FetchOutcome {
     Done,
 }
 
-/// The block-stream fetch unit — the fast path. Behaviourally identical to
-/// [`AlignedFetchUnit`] over the same dynamic instruction sequence (both
-/// drive the shared `FrontEnd`; the differential-oracle tests enforce
-/// equality), but it walks run-length segment records and admits
-/// straight-line spans up to a cache-block boundary in one step instead of
-/// re-deciding geometry per instruction.
-#[derive(Debug)]
-pub struct BlockFetchUnit {
-    fe: FrontEnd,
-    cursor: BlockCursor,
-}
-
-impl BlockFetchUnit {
-    /// Creates a fetch unit over a block stream with fresh cache and BTB
-    /// state.
-    #[must_use]
-    pub fn new(cfg: FetchConfig, icache: ICache, btb: Btb, cursor: BlockCursor) -> Self {
-        Self {
-            fe: FrontEnd::new(cfg, icache, btb),
-            cursor,
-        }
-    }
-
-    /// Returns fetch statistics.
-    #[must_use]
-    pub fn stats(&self) -> &FetchStats {
-        &self.fe.stats
-    }
-
-    /// Returns the instruction cache (for hit/miss statistics).
-    #[must_use]
-    pub fn icache(&self) -> &ICache {
-        &self.fe.icache
-    }
-
-    /// Returns the branch-target buffer (for predictor statistics).
-    #[must_use]
-    pub fn btb(&self) -> &Btb {
-        &self.fe.btb
-    }
-
-    /// Instructions delivered so far (including nops).
-    #[must_use]
-    pub fn delivered(&self) -> u64 {
-        self.fe.delivered
-    }
-
-    /// Instructions delivered excluding nops.
-    #[must_use]
-    pub fn delivered_useful(&self) -> u64 {
-        self.fe.delivered_useful
-    }
-
-    /// `true` when the stream is exhausted.
+impl FetchUnit<BlockCursor> {
+    /// `true` once every instruction of the stream has been delivered.
     #[must_use]
     pub fn done(&self) -> bool {
         self.cursor.is_done()
     }
 
-    /// Reports resolution of the outstanding mispredicted control transfer;
-    /// delivery resumes after the fetch-pipeline penalty.
-    pub fn on_mispredict_resolved(&mut self, cycle: u64) {
-        self.fe.on_mispredict_resolved(cycle);
-    }
-
     /// Accounts `n` skipped redirect-wait cycles at once. The simulator's
     /// idle-cycle skip must keep the per-cycle stall counters exact: the
-    /// oracle records one redirect stall per empty waiting cycle, so a loop
-    /// that jumps over `n` such cycles adds them here.
+    /// reference walk records one redirect stall per empty waiting cycle, so
+    /// a loop that jumps over `n` such cycles adds them here.
     pub fn add_redirect_stalls(&mut self, n: u64) {
         debug_assert!(self.fe.waiting_resolve);
         self.fe.stats.redirect_stall_cycles += n;
     }
 
-    /// Runs one fetch cycle, filling `out` with the delivered packet in
-    /// run-length form (the packet is cleared first). Returns what happened,
-    /// including the reason when nothing was delivered.
+    /// The production walk: runs one fetch cycle, filling `out` with the
+    /// delivered packet in run-length form (the packet is cleared first).
+    /// Returns what happened, including the reason when nothing was
+    /// delivered.
     pub fn cycle_into(
         &mut self,
         cycle: u64,
@@ -875,8 +835,7 @@ impl BlockFetchUnit {
         let spec_depth = self.fe.cfg.spec_depth;
         let first_addr = stream.template(records[rec]).insts()[off].addr;
         // `open_region` peeks at monotonically increasing offsets, so drive
-        // it from an incremental walk instead of `BlockCursor::peek` (which
-        // rescans the record list from the cursor on every call).
+        // it from one incremental walk over the cursor's lookahead.
         let cursor = &self.cursor;
         let mut ahead = cursor.iter_ahead();
         let mut ahead_next = 0usize;
@@ -897,8 +856,8 @@ impl BlockFetchUnit {
 
         let mut n = 0u32;
         // Conditional branches that went through the predictor this packet —
-        // the speculation-depth count. Mirrors the oracle, which only counts
-        // control-annotated conditionals toward the limit.
+        // the speculation-depth count. Mirrors the reference walk, which only
+        // counts control-annotated conditionals toward the limit.
         let mut conds_pred = 0u32;
         let mut ended: Option<Break> = None;
 
@@ -959,7 +918,8 @@ impl BlockFetchUnit {
                 // (within one cache block) geometry are constant across it,
                 // so admit a whole chunk at once. `admit` is idempotent for
                 // instructions sharing a block, making one call per chunk
-                // exactly equivalent to the oracle's per-instruction calls.
+                // exactly equivalent to the reference walk's per-instruction
+                // calls.
                 let plain_end = tpl.len() - usize::from(tpl.terminal().is_some());
                 let mut chunk = (plain_end - off).min((issue_rate - n) as usize);
                 if tpl.sequential() {
@@ -978,7 +938,8 @@ impl BlockFetchUnit {
                 if tpl.op_count(OpClass::CondBranch) > u32::from(term_cond) {
                     // Control-less conditional branches (possible only in
                     // hand-built traces) count for the dispatch queue but
-                    // not the speculation limit — same as the oracle.
+                    // not the speculation limit — same as the reference
+                    // walk.
                     out.conds += tpl.insts()[off..off + chunk]
                         .iter()
                         .filter(|i| i.op == OpClass::CondBranch)
@@ -1024,7 +985,7 @@ mod tests {
 
     const BS: u64 = 16; // 4 instructions per block
 
-    fn unit(scheme: SchemeKind, trace: Vec<DynInst>) -> AlignedFetchUnit {
+    fn unit(scheme: SchemeKind, trace: Vec<DynInst>) -> FetchUnit<TraceCursor> {
         let cfg = FetchConfig {
             scheme,
             issue_rate: 4,
@@ -1037,7 +998,7 @@ mod tests {
         };
         let icache = ICache::new(CacheConfig::new(32 * 1024, BS, 2));
         let btb = Btb::new(BtbConfig::for_block_bytes(BS));
-        AlignedFetchUnit::new(cfg, icache, btb, TraceCursor::new(trace))
+        FetchUnit::new(cfg, icache, btb, TraceCursor::new(trace))
     }
 
     fn alu(addr: u64) -> DynInst {
@@ -1100,7 +1061,7 @@ mod tests {
     }
 
     /// Drives the unit until the trace is exhausted; returns packet sizes.
-    fn drain(unit: &mut AlignedFetchUnit) -> Vec<usize> {
+    fn drain(unit: &mut FetchUnit<TraceCursor>) -> Vec<usize> {
         let mut sizes = Vec::new();
         let mut cycle = 0;
         while !unit.done() {
@@ -1120,7 +1081,7 @@ mod tests {
     /// Trains the unit by consuming at least `skip` instructions (resolving
     /// mispredicts immediately), then returns the next non-empty packet —
     /// the steady-state behaviour of the mechanism on the cyclic trace.
-    fn steady_packet(u: &mut AlignedFetchUnit, skip: usize) -> FetchPacket {
+    fn steady_packet(u: &mut FetchUnit<TraceCursor>, skip: usize) -> FetchPacket {
         let mut consumed = 0usize;
         let mut cycle = 0u64;
         while consumed < skip {
@@ -1399,7 +1360,7 @@ mod tests {
         assert_eq!(u.delivered_useful(), 3);
     }
 
-    /// Drives an [`AlignedFetchUnit`] and a [`BlockFetchUnit`] over the same
+    /// Drives a trace-cursor and a block-cursor [`FetchUnit`] over the same
     /// dynamic instruction sequence and asserts their packets, statistics,
     /// cache state, and BTB state stay identical, cycle by cycle.
     fn assert_units_match(scheme: SchemeKind, trace: Vec<DynInst>) {
@@ -1417,9 +1378,8 @@ mod tests {
         let make_cache = || ICache::new(CacheConfig::new(32 * 1024, BS, 2));
         let make_btb = || Btb::new(BtbConfig::for_block_bytes(BS));
         let stream = std::sync::Arc::new(BlockStream::from_insts(&trace));
-        let mut oracle =
-            AlignedFetchUnit::new(cfg, make_cache(), make_btb(), TraceCursor::new(trace));
-        let mut fast = BlockFetchUnit::new(
+        let mut oracle = FetchUnit::new(cfg, make_cache(), make_btb(), TraceCursor::new(trace));
+        let mut fast = FetchUnit::new(
             cfg,
             make_cache(),
             make_btb(),
@@ -1504,7 +1464,11 @@ mod predictor_tests {
 
     const BS: u64 = 16;
 
-    fn unit_with(predictor: PredictorKind, ras: u32, trace: Vec<DynInst>) -> AlignedFetchUnit {
+    fn unit_with(
+        predictor: PredictorKind,
+        ras: u32,
+        trace: Vec<DynInst>,
+    ) -> FetchUnit<TraceCursor> {
         let cfg = FetchConfig {
             scheme: SchemeKind::Perfect,
             issue_rate: 4,
@@ -1517,7 +1481,7 @@ mod predictor_tests {
         };
         let icache = ICache::new(CacheConfig::new(32 * 1024, BS, 2));
         let btb = Btb::new(BtbConfig::for_block_bytes(BS));
-        AlignedFetchUnit::new(cfg, icache, btb, TraceCursor::new(trace))
+        FetchUnit::new(cfg, icache, btb, TraceCursor::new(trace))
     }
 
     fn br(addr: u64, taken: bool, target: u64) -> DynInst {
@@ -1540,7 +1504,7 @@ mod predictor_tests {
         }
     }
 
-    fn drain_stats(mut u: AlignedFetchUnit) -> FetchStats {
+    fn drain_stats(mut u: FetchUnit<TraceCursor>) -> FetchStats {
         let mut cycle = 0;
         while !u.done() {
             let p = u.cycle(cycle, 0);

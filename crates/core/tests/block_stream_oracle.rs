@@ -42,23 +42,23 @@ fn check_bench(machine: &MachineModel, w: &Workload) {
         "{}: native stream materializes differently from the executor",
         w.spec.name
     );
-    let from_trace = BlockStream::from_insts(&trace);
+    let from_trace = Arc::new(BlockStream::from_insts(&trace));
     for scheme in SchemeKind::ALL {
         let reference = simulate(machine, scheme, trace.clone());
-        let fast = simulate(machine, scheme, Arc::clone(&stream));
+        let fast = simulate(machine, scheme, &stream);
         assert_eq!(
             reference, fast,
             "{}/{scheme}/{}: block-stream simulate diverged",
             w.spec.name, machine.name
         );
-        let reencoded = simulate(machine, scheme, from_trace.clone());
+        let reencoded = simulate(machine, scheme, &from_trace);
         assert_eq!(
             reference, reencoded,
             "{}/{scheme}/{}: re-encoded stream simulate diverged",
             w.spec.name, machine.name
         );
         let eir_reference = measure_eir(machine, scheme, trace.clone());
-        let eir_fast = measure_eir(machine, scheme, Arc::clone(&stream));
+        let eir_fast = measure_eir(machine, scheme, &stream);
         assert_eq!(
             eir_reference, eir_fast,
             "{}/{scheme}/{}: block-stream EIR diverged",

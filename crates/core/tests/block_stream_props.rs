@@ -95,11 +95,11 @@ proptest! {
         prop_assert_eq!(stream.materialize(), trace.clone());
 
         let reference = simulate(&machine, scheme, trace.clone());
-        let fast = simulate(&machine, scheme, Arc::clone(&stream));
+        let fast = simulate(&machine, scheme, &stream);
         prop_assert_eq!(&reference, &fast);
 
         let eir_reference = measure_eir(&machine, scheme, trace);
-        let eir_fast = measure_eir(&machine, scheme, stream);
+        let eir_fast = measure_eir(&machine, scheme, &stream);
         prop_assert_eq!(&eir_reference, &eir_fast);
     }
 }

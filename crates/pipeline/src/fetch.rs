@@ -1,4 +1,4 @@
-//! The fetch-unit interface and the trace cursor it consumes.
+//! Fetch packets and the two cursors a fetch unit walks.
 //!
 //! Fetch mechanisms (implemented in the `fetchmech` core crate) are
 //! *trace-driven*: they see the correct-path dynamic instruction stream and
@@ -8,8 +8,13 @@
 //! transfer ends the cycle's packet and stalls fetch until the pipeline
 //! reports resolution (the paper's footnote 1: total penalty = fetch redirect
 //! penalty + cycles until the branch executes).
+//!
+//! [`BlockCursor`] walks a run-length [`BlockStream`], the input every
+//! production simulation takes. [`TraceCursor`] walks a per-instruction
+//! trace and feeds the reference simulator that tests and the debug
+//! self-check compare against.
 
-use fetchmech_isa::{BlockStream, DynInst, SegTemplate};
+use fetchmech_isa::{BlockStream, DynInst};
 
 /// One fetched instruction plus its prediction outcome.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,41 +60,6 @@ impl FetchPacket {
     pub fn ends_mispredicted(&self) -> bool {
         self.insts.last().is_some_and(|f| f.mispredicted)
     }
-}
-
-/// A fetch mechanism, driven one cycle at a time by the simulator.
-///
-/// The contract:
-///
-/// 1. [`FetchUnit::cycle`] is called once per simulated cycle in which the
-///    decoupling queue has room. It returns the instructions the mechanism
-///    could align and deliver that cycle (possibly none).
-/// 2. If the returned packet [ends mispredicted](FetchPacket::ends_mispredicted),
-///    the unit must deliver nothing until
-///    [`FetchUnit::on_mispredict_resolved`] is called with the cycle at which
-///    the offending instruction executed; delivery then resumes no earlier
-///    than `resolution + fetch_penalty` cycles.
-/// 3. `unresolved_branches` is the number of in-flight predicted conditional
-///    branches (dispatched or queued, not yet executed); implementations must
-///    not fetch *past* a conditional branch when the count has reached the
-///    machine's speculation depth.
-pub trait FetchUnit {
-    /// Produces this cycle's packet.
-    fn cycle(&mut self, cycle: u64, unresolved_branches: u32) -> FetchPacket;
-
-    /// Reports that the mispredicted control transfer at the end of a
-    /// previous packet executed at `cycle`.
-    fn on_mispredict_resolved(&mut self, cycle: u64);
-
-    /// Returns `true` once the trace is exhausted and everything has been
-    /// delivered.
-    fn done(&mut self) -> bool;
-
-    /// Total instructions delivered so far (the numerator of EIR).
-    fn delivered(&self) -> u64;
-
-    /// A short display name ("sequential", "collapsing", …).
-    fn name(&self) -> &'static str;
 }
 
 /// A peekable cursor over a shared, immutable dynamic instruction trace.
@@ -187,12 +157,11 @@ impl TraceCursor {
 
 /// A peekable cursor over a shared run-length [`BlockStream`].
 ///
-/// The block-level analogue of [`TraceCursor`]: the same peek/consume
-/// contract over the same logical instruction sequence, but positioned as
-/// (record, offset) into the stream so the fast fetch path can admit whole
-/// template runs without touching individual instructions. `peek`/`consume`
-/// transparently cross segment boundaries, so any per-instruction consumer
-/// behaves exactly as it would over the materialized trace.
+/// The block-level analogue of [`TraceCursor`]: the same consume contract
+/// over the same logical instruction sequence, but positioned as
+/// (record, offset) into the stream so the fetch unit can admit whole
+/// template runs without touching individual instructions. `consume` and
+/// [`iter_ahead`](Self::iter_ahead) transparently cross segment boundaries.
 ///
 /// # Examples
 ///
@@ -205,9 +174,9 @@ impl TraceCursor {
 ///     .collect();
 /// let stream = std::sync::Arc::new(BlockStream::from_insts(&insts));
 /// let mut cur = BlockCursor::new(stream);
-/// assert_eq!(cur.peek(2).unwrap().addr, Addr::from_word_index(2));
+/// assert_eq!(cur.iter_ahead().nth(2).unwrap().addr, Addr::from_word_index(2));
 /// cur.consume(3);
-/// assert_eq!(cur.peek(0).unwrap().addr, Addr::from_word_index(3));
+/// assert_eq!(cur.iter_ahead().next().unwrap().addr, Addr::from_word_index(3));
 /// cur.consume(1);
 /// assert!(cur.is_done());
 /// ```
@@ -246,24 +215,6 @@ impl BlockCursor {
         }
     }
 
-    /// Returns the instruction `offset` positions ahead of the cursor, if the
-    /// stream extends that far (crossing segment boundaries as needed).
-    #[must_use]
-    pub fn peek(&self, offset: usize) -> Option<&DynInst> {
-        let records = self.stream.records();
-        let mut rec = self.rec;
-        let mut k = self.off + offset;
-        while rec < records.len() {
-            let t = self.stream.template(records[rec]);
-            if k < t.len() {
-                return Some(&t.insts()[k]);
-            }
-            k -= t.len();
-            rec += 1;
-        }
-        None
-    }
-
     /// Advances the cursor by `n` instructions.
     ///
     /// # Panics
@@ -299,12 +250,6 @@ impl BlockCursor {
         self.stream.total_insts() - self.pos
     }
 
-    /// Absolute instructions consumed so far.
-    #[must_use]
-    pub fn pos(&self) -> u64 {
-        self.pos
-    }
-
     /// Index of the record the cursor is positioned in (equal to the record
     /// count once exhausted).
     #[must_use]
@@ -316,19 +261,6 @@ impl BlockCursor {
     #[must_use]
     pub fn offset(&self) -> usize {
         self.off
-    }
-
-    /// The remainder of the current segment (from the cursor position to the
-    /// segment's end), with its template id and offset, or `None` at end of
-    /// stream. The slice always contains at least one instruction.
-    #[must_use]
-    pub fn run(&self) -> Option<(u32, usize, &SegTemplate)> {
-        let records = self.stream.records();
-        if self.rec >= records.len() {
-            return None;
-        }
-        let id = records[self.rec];
-        Some((id, self.off, self.stream.template(id)))
     }
 
     /// Iterates the instructions ahead of the cursor (inclusive of the
@@ -359,51 +291,9 @@ impl BlockCursor {
     }
 }
 
-impl From<std::sync::Arc<BlockStream>> for BlockCursor {
-    fn from(stream: std::sync::Arc<BlockStream>) -> Self {
-        Self::new(stream)
-    }
-}
-
-impl From<&std::sync::Arc<BlockStream>> for BlockCursor {
-    fn from(stream: &std::sync::Arc<BlockStream>) -> Self {
-        Self::new(std::sync::Arc::clone(stream))
-    }
-}
-
-impl From<BlockStream> for BlockCursor {
-    fn from(stream: BlockStream) -> Self {
-        Self::new(std::sync::Arc::new(stream))
-    }
-}
-
-impl From<Vec<DynInst>> for TraceCursor {
-    fn from(trace: Vec<DynInst>) -> Self {
-        Self::new(trace)
-    }
-}
-
-impl From<std::sync::Arc<[DynInst]>> for TraceCursor {
-    fn from(trace: std::sync::Arc<[DynInst]>) -> Self {
-        Self::new(trace)
-    }
-}
-
 impl From<&std::sync::Arc<[DynInst]>> for TraceCursor {
     fn from(trace: &std::sync::Arc<[DynInst]>) -> Self {
         Self::new(std::sync::Arc::clone(trace))
-    }
-}
-
-impl From<&[DynInst]> for TraceCursor {
-    fn from(trace: &[DynInst]) -> Self {
-        Self::new(trace)
-    }
-}
-
-impl FromIterator<DynInst> for TraceCursor {
-    fn from_iter<I: IntoIterator<Item = DynInst>>(iter: I) -> Self {
-        Self::new(iter.into_iter().collect::<Vec<_>>())
     }
 }
 
@@ -497,9 +387,9 @@ mod tests {
         let mut t = TraceCursor::new(trace.clone());
         let mut consumed = 0usize;
         for step in [1usize, 2, 4, 0, 3, 1, 2] {
-            for k in 0..8 {
-                assert_eq!(b.peek(k), t.peek(k), "peek {k} after {consumed}");
-            }
+            let ahead: Vec<DynInst> = b.iter_ahead().take(8).copied().collect();
+            let expected: Vec<DynInst> = (0..8).map_while(|k| t.peek(k).copied()).collect();
+            assert_eq!(ahead, expected, "lookahead after {consumed}");
             let n = step.min(t.remaining());
             b.consume(n);
             t.consume(n);
@@ -507,7 +397,7 @@ mod tests {
             assert_eq!(b.is_done(), t.is_done());
             assert_eq!(b.remaining(), t.remaining() as u64);
         }
-        assert_eq!(b.pos(), consumed as u64);
+        assert_eq!(b.remaining(), (trace.len() - consumed) as u64);
     }
 
     #[test]
@@ -521,22 +411,22 @@ mod tests {
     }
 
     #[test]
-    fn block_cursor_run_is_segment_remainder() {
+    fn block_cursor_position_tracks_segment_remainder() {
         let trace = looped_trace();
         let stream = std::sync::Arc::new(BlockStream::from_insts(&trace));
-        let mut b = BlockCursor::new(stream);
-        let (_, off, t) = b.run().unwrap();
-        assert_eq!(off, 0);
-        assert_eq!(t.len(), 3);
+        let first_len = stream.template(stream.records()[0]).len();
+        assert_eq!(first_len, 3);
+        let mut b = BlockCursor::new(std::sync::Arc::clone(&stream));
+        assert_eq!((b.record_index(), b.offset()), (0, 0));
         b.consume(1);
-        let (_, off, t) = b.run().unwrap();
-        assert_eq!(off, 1);
-        assert_eq!(&t.insts()[off..], &trace[1..3]);
-        b.consume(t.len() - off);
-        let (_, off, _) = b.run().unwrap();
-        assert_eq!(off, 0);
+        assert_eq!((b.record_index(), b.offset()), (0, 1));
+        let tail: Vec<DynInst> = b.iter_ahead().take(first_len - 1).copied().collect();
+        assert_eq!(tail, trace[1..3]);
+        b.consume(first_len - 1);
+        assert_eq!((b.record_index(), b.offset()), (1, 0));
         b.consume(b.remaining() as usize);
-        assert!(b.run().is_none());
+        assert_eq!(b.record_index(), stream.records().len());
+        assert!(b.iter_ahead().next().is_none());
         assert!(b.is_done());
     }
 

@@ -13,7 +13,7 @@
 use fetchmech::isa::{
     disasm, Inst, Layout, LayoutOptions, OpClass, ProgramBuilder, Reg, Terminator,
 };
-use fetchmech::pipeline::{FetchUnit, MachineModel};
+use fetchmech::pipeline::{MachineModel, TraceCursor};
 use fetchmech::sim::build_fetch_unit;
 use fetchmech::workloads::{BehaviorMap, BranchModel, Executor, InputId};
 use fetchmech::SchemeKind;
@@ -97,7 +97,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             4_000,
         )
         .collect();
-        let mut unit = build_fetch_unit(&machine, scheme, trace);
+        let mut unit = build_fetch_unit(&machine, scheme, TraceCursor::new(trace));
         // Warm the caches and predictor on the first ~2000 instructions.
         let mut cycle = 0u64;
         let mut consumed = 0usize;

@@ -171,23 +171,6 @@ fn default_suite() -> Vec<String> {
         .collect()
 }
 
-/// The shared `diagnostics` JSON field.
-fn diagnostics_value(diags: &[Diagnostic]) -> Value {
-    Value::Array(
-        diags
-            .iter()
-            .map(|d| {
-                Value::object([
-                    ("rule_id", Value::Str(d.rule_id.to_string())),
-                    ("severity", Value::Str(d.severity.to_string())),
-                    ("location", Value::Str(d.location.to_string())),
-                    ("message", Value::Str(d.message.clone())),
-                ])
-            })
-            .collect(),
-    )
-}
-
 struct Options {
     benchmarks: Vec<String>,
     json: bool,
@@ -253,11 +236,7 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
         }
     }
     if opts.benchmarks.is_empty() {
-        opts.benchmarks = suite::INT_NAMES
-            .iter()
-            .chain(suite::FP_NAMES.iter())
-            .map(ToString::to_string)
-            .collect();
+        opts.benchmarks = default_suite();
     }
     Ok(Some(opts))
 }
@@ -708,7 +687,7 @@ fn analyze_benchmark(name: &str, opts: &AnalyzeOptions) -> Result<AnalyzeReport,
     let mut diags = sink.into_diagnostics();
     diags.extend(extra);
     diags.retain(|d| !opts.common.disabled.iter().any(|r| r == d.rule_id));
-    fields.push(("diagnostics", diagnostics_value(&diags)));
+    fields.push(("diagnostics", diagnostics_json(&diags)));
     Ok(AnalyzeReport {
         human,
         json: Value::object(fields),
@@ -1014,7 +993,7 @@ fn opt_benchmark(name: &str, opts: &OptOptions) -> Result<AnalyzeReport, String>
         diags = verify_optimized(&w, &profile, &optimized, opts.common.insts);
         diags.retain(|d| !opts.common.disabled.iter().any(|r| r == d.rule_id));
     }
-    fields.push(("diagnostics", diagnostics_value(&diags)));
+    fields.push(("diagnostics", diagnostics_json(&diags)));
     Ok(AnalyzeReport {
         human,
         json: Value::object(fields),
@@ -1226,7 +1205,7 @@ fn sanitize_main(args: &[String]) -> ExitCode {
         }
     }
     if opts.common.json {
-        println!("{}", diagnostics_json(&all));
+        println!("{}", diagnostics_json(&all).pretty());
     }
     if failed || all.iter().any(|d| d.severity == Severity::Error) {
         ExitCode::FAILURE
@@ -1414,7 +1393,7 @@ fn frontend_file(path: &str, opts: &FrontendOptions) -> Result<AnalyzeReport, St
     }
 
     diags.retain(|d| !opts.common.disabled.iter().any(|r| r == d.rule_id));
-    fields.push(("diagnostics", diagnostics_value(&diags)));
+    fields.push(("diagnostics", diagnostics_json(&diags)));
     Ok(AnalyzeReport {
         human,
         json: Value::object(fields),
@@ -1509,7 +1488,7 @@ fn main() -> ExitCode {
         }
     }
     if opts.json {
-        println!("{}", diagnostics_json(&all));
+        println!("{}", diagnostics_json(&all).pretty());
     }
     let bad = all.iter().any(|d| {
         d.severity == Severity::Error || (opts.deny_warnings && d.severity == Severity::Warning)

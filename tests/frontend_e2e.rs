@@ -95,7 +95,7 @@ fn block_stream_fast_path_matches_per_instruction_path() {
         let stream = Arc::new(w.block_stream(&layout, InputId::TEST, INSTS));
         for scheme in SchemeKind::ALL {
             let reference = simulate(&machine, scheme, trace.clone());
-            let fast = simulate(&machine, scheme, Arc::clone(&stream));
+            let fast = simulate(&machine, scheme, &stream);
             assert_eq!(reference, fast, "{name} on {scheme}: paths diverge");
         }
     }
