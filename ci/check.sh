@@ -115,6 +115,22 @@ grep -q "drained, bye" "$serve_log" || {
 }
 rm -f "$serve_log"
 
+echo "==> perfbench correctness: serve_hot and serve_cold under a 1 s load"
+# perfbench checks every HTTP body byte for byte against in-process
+# rendering; this runs that check on the live accept and request path.
+perfbench_err="$(mktemp)"
+for workload in serve_hot serve_cold; do
+    if ! result="$(cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
+            --workload "$workload" --seed 1 --seconds 1 --trace 0 2>"$perfbench_err" | tail -n 1)" ||
+        ! grep -q '"correct":true' <<<"$result" || ! grep -q '"failed":0[,}]' <<<"$result"; then
+        echo "perfbench $workload failed its correctness check: $result" >&2
+        cat "$perfbench_err" >&2
+        exit 1
+    fi
+    echo "perfbench $workload: correct, 0 failed"
+done
+rm -f "$perfbench_err"
+
 echo "==> report drift: full paper report vs perfbench/expected/paper/"
 # Results are deterministic: a full run must print exactly the pinned
 # sections in paper order. Re-pin only as a deliberate, reviewed change.

@@ -1,8 +1,9 @@
 //! Smoke client for `fetchmech-serve`: checks `/healthz`, fires a burst of
 //! concurrent `/v1/simulate` requests (verifying identical keys give
 //! byte-identical bodies), runs the same `/v1/sweep` twice to exercise the
-//! lab caches, then writes a throughput/latency summary to
-//! `BENCH_PR5.json`.
+//! lab caches, then writes a summary of the burst to `BENCH_PR5.json`.
+//! The burst's rate is a smoke figure, not sustained throughput: perfbench's
+//! `serve_hot` and `serve_cold` workloads measure throughput and latency.
 //!
 //! With a second argument naming a frontend program file (`.bril.json` /
 //! `.json` / `.wat`), the client also uploads it via `POST /v1/programs`
@@ -238,7 +239,7 @@ fn main() {
     let p50_ms = latencies[latencies.len() / 2].as_secs_f64() * 1000.0;
     let p99_ms = latencies[latencies.len() - 1].as_secs_f64() * 1000.0;
     #[allow(clippy::cast_precision_loss)]
-    let throughput = CLIENTS as f64 / burst_secs;
+    let burst_rate = CLIENTS as f64 / burst_secs;
     let report = Value::object([
         ("clients", Value::Uint(CLIENTS as u64)),
         (
@@ -246,8 +247,8 @@ fn main() {
             Value::Num((burst_secs * 1000.0).round() / 1000.0),
         ),
         (
-            "requests_per_sec",
-            Value::Num((throughput * 100.0).round() / 100.0),
+            "burst_requests_per_sec",
+            Value::Num((burst_rate * 100.0).round() / 100.0),
         ),
         ("p50_ms", Value::Num((p50_ms * 100.0).round() / 100.0)),
         ("max_ms", Value::Num((p99_ms * 100.0).round() / 100.0)),
@@ -259,6 +260,6 @@ fn main() {
     println!("{json}");
     eprintln!(
         "serve_client: {CLIENTS} clients in {burst_secs:.2}s \
-         ({throughput:.1} req/s), stream cache hits {cache_hits}"
+         (burst of {burst_rate:.1} req/s), stream cache hits {cache_hits}"
     );
 }

@@ -14,6 +14,12 @@
 //!   (frontend program uploads, registered under content-hash ids).
 //! * [`metrics`] — counters and latency histograms behind `GET /metrics`.
 //!
+//! The accept thread blocks in `accept`, so each connection is handed to
+//! its handler thread the moment it arrives rather than on a poll tick.
+//! Stopping sets a flag and then wakes that thread with one loopback
+//! connection, which it drops unserved; accept errors (fd exhaustion,
+//! aborted handshakes) back off briefly instead of spinning.
+//!
 //! Admission control is explicit: when the bounded queue is full the
 //! service sheds load with a structured `429` instead of queueing
 //! unboundedly, and [`Server::shutdown`] drains in-flight work before
@@ -24,8 +30,7 @@ pub mod engine;
 pub mod http;
 pub mod metrics;
 
-use std::io::ErrorKind;
-use std::net::{TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -42,6 +47,13 @@ use api::Limits;
 use engine::{EngineShared, Outcome, Shed, SimJob, WaitResult};
 use http::{ReadError, Request, Response};
 use metrics::Metrics;
+
+/// How long the accept thread sleeps after an accept error, so a persistent
+/// one (say, `EMFILE`) cannot spin a core.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(5);
+
+/// Bound on the loopback connect that wakes the accept thread at shutdown.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// Everything configurable about the service.
 #[derive(Debug, Clone)]
@@ -167,7 +179,7 @@ impl ConnTracker {
 /// work.
 #[derive(Debug)]
 pub struct Server {
-    addr: std::net::SocketAddr,
+    addr: SocketAddr,
     stop: Arc<AtomicBool>,
     accept_thread: Option<thread::JoinHandle<()>>,
     conns: Arc<ConnTracker>,
@@ -207,7 +219,6 @@ impl Server {
     pub fn start(config: ServeConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
 
         let runner = Runner::from_flag_or_env(config.threads);
         let queue = Arc::new(JobQueue::start(runner, config.queue_capacity));
@@ -300,7 +311,7 @@ impl Server {
 
     /// The actual bound address (resolves ephemeral ports).
     #[must_use]
-    pub fn addr(&self) -> std::net::SocketAddr {
+    pub fn addr(&self) -> SocketAddr {
         self.addr
     }
 
@@ -320,10 +331,7 @@ impl Server {
     /// the configured drain timeout), then close the job queue, drain any
     /// queued work, and flush the store's persistence backlog.
     pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.accept_thread.take() {
-            let _ = handle.join();
-        }
+        self.stop_accepting();
         self.conns.drain(self.drain_timeout);
         self.queue.close();
         self.queue.drain();
@@ -331,18 +339,41 @@ impl Server {
             store.shutdown();
         }
     }
+
+    /// Sets `stop`, wakes the accept thread out of its blocking `accept`
+    /// with one loopback connection, and joins it. A no-op once joined, so
+    /// `Drop` after [`Server::shutdown`] connects to nothing.
+    fn stop_accepting(&mut self) {
+        self.stop.store(true, Ordering::SeqCst);
+        if let Some(handle) = self.accept_thread.take() {
+            let _ = TcpStream::connect_timeout(&wake_addr(self.addr), WAKE_TIMEOUT);
+            let _ = handle.join();
+        }
+    }
 }
 
 impl Drop for Server {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.accept_thread.take() {
-            let _ = handle.join();
-        }
+        self.stop_accepting();
         self.queue.close();
     }
 }
 
+/// Where a local connect reaches a listener bound at `addr`: an unspecified
+/// bind IP (`0.0.0.0` / `::`) is reached through loopback.
+fn wake_addr(addr: SocketAddr) -> SocketAddr {
+    let ip = match addr.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, addr.port())
+}
+
+/// Blocks in `accept` and hands each connection to a handler thread as it
+/// arrives. `stop` is checked after every `accept` returns, so the wake
+/// connection from [`Server::stop_accepting`] ends the loop without being
+/// served or counted. Accept errors sleep [`ACCEPT_ERROR_BACKOFF`] first.
 fn accept_loop(
     listener: &TcpListener,
     stop: &Arc<AtomicBool>,
@@ -352,37 +383,37 @@ fn accept_loop(
     options: ConnOptions,
 ) {
     let started = Instant::now();
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let _ = stream.set_read_timeout(Some(options.read_timeout));
-                let _ = stream.set_write_timeout(Some(options.write_timeout));
-                if !conns.try_acquire() {
-                    refuse_saturated(stream, shared);
-                    continue;
-                }
-                let handler = Handler {
-                    shared: Arc::clone(shared),
-                    queue: Arc::clone(queue),
-                    limits: options.limits,
-                    store_boot_failed: options.store_boot_failed,
-                    started,
-                };
-                let thread_conns = Arc::clone(conns);
-                let spawned = thread::Builder::new()
-                    .name("fetchmech-conn".to_string())
-                    .spawn(move || {
-                        handler.serve_connection(stream);
-                        thread_conns.release();
-                    });
-                if spawned.is_err() {
-                    conns.release();
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => thread::sleep(Duration::from_millis(5)),
+    loop {
+        let accepted = listener.accept();
+        if stop.load(Ordering::SeqCst) {
+            return;
+        }
+        let Ok((stream, _peer)) = accepted else {
+            thread::sleep(ACCEPT_ERROR_BACKOFF);
+            continue;
+        };
+        let _ = stream.set_read_timeout(Some(options.read_timeout));
+        let _ = stream.set_write_timeout(Some(options.write_timeout));
+        if !conns.try_acquire() {
+            refuse_saturated(stream, shared);
+            continue;
+        }
+        let handler = Handler {
+            shared: Arc::clone(shared),
+            queue: Arc::clone(queue),
+            limits: options.limits,
+            store_boot_failed: options.store_boot_failed,
+            started,
+        };
+        let thread_conns = Arc::clone(conns);
+        let spawned = thread::Builder::new()
+            .name("fetchmech-conn".to_string())
+            .spawn(move || {
+                handler.serve_connection(stream);
+                thread_conns.release();
+            });
+        if spawned.is_err() {
+            conns.release();
         }
     }
 }

@@ -1,12 +1,12 @@
 //! Integration tests for `fetchmech-serve`: boot the server in-process on an
 //! ephemeral port and drive it over raw `std::net::TcpStream`, asserting
 //! byte-identical results vs serial execution, queue-full shedding,
-//! coalescing, deadline expiry, cache reuse across sweeps, and graceful
-//! shutdown draining.
+//! coalescing, deadline expiry, cache reuse across sweeps, graceful
+//! shutdown draining, and prompt accept and shutdown with no poll tick.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -673,5 +673,73 @@ fn shutdown_drains_in_flight_requests() {
     assert!(
         TcpStream::connect_timeout(&addr, Duration::from_millis(500)).is_err(),
         "server should stop accepting after shutdown"
+    );
+}
+
+#[test]
+fn sequential_requests_are_not_paced_by_a_poll_tick() {
+    // The accept thread blocks in `accept`, so each fresh connection is
+    // served as soon as it arrives. A listener polled every few
+    // milliseconds would put a tick's wait in front of every request.
+    let server = Server::start(test_config()).expect("server start");
+    let addr = server.addr();
+    let started = Instant::now();
+    for _ in 0..100 {
+        let (status, body) = http(addr, "GET", "/healthz", "");
+        assert_eq!(status, 200, "{body}");
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(250),
+        "100 sequential /healthz requests took {elapsed:?}"
+    );
+    server.shutdown();
+}
+
+/// Runs `stop` on its own thread and fails unless it returns within `bound`,
+/// so an accept thread that is never woken fails the test instead of
+/// hanging it.
+fn assert_returns_within(bound: Duration, what: &str, stop: impl FnOnce() + Send + 'static) {
+    let (done, finished) = mpsc::channel();
+    let stopper = thread::spawn(move || {
+        stop();
+        let _ = done.send(());
+    });
+    assert!(
+        finished.recv_timeout(bound).is_ok(),
+        "{what} did not return within {bound:?}"
+    );
+    stopper.join().expect("stop thread");
+}
+
+#[test]
+fn idle_server_shuts_down_promptly() {
+    let bound = Duration::from_secs(2);
+    // An unspecified bind IP is reached through loopback.
+    let reach = |addr: SocketAddr| SocketAddr::from(([127, 0, 0, 1], addr.port()));
+    for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
+        let config = ServeConfig {
+            addr: bind.to_string(),
+            ..test_config()
+        };
+        let server = Server::start(config).expect("server start");
+        let addr = reach(server.addr());
+        assert_returns_within(bound, &format!("shutdown of an idle {bind} server"), || {
+            server.shutdown();
+        });
+        assert!(
+            TcpStream::connect_timeout(&addr, Duration::from_millis(500)).is_err(),
+            "{bind} server still accepts after shutdown"
+        );
+    }
+
+    // Dropping without `shutdown` joins the accept thread too, which closes
+    // the listener.
+    let server = Server::start(test_config()).expect("server start");
+    let addr = server.addr();
+    assert_returns_within(bound, "dropping an idle server", || drop(server));
+    assert!(
+        TcpStream::connect_timeout(&addr, Duration::from_millis(500)).is_err(),
+        "dropped server still accepts"
     );
 }
